@@ -70,11 +70,13 @@ def _margins_metrics(margins) -> dict[str, float]:
 
 @register_batch_task("margins")
 def margins_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Exception]:
-    """Vectorized `margins`: stacked magnitude scan, shared response samples.
+    """Vectorized `margins`: one :func:`~repro.pll.margins.compare_margins_batch`
+    call per group of points sharing ``(omega0, points, backend)``.
 
-    Uses :func:`repro.pll.margins.compare_margins_batch`, which evaluates
-    each design's ``A`` and ``lambda`` once (the scalar path evaluates each
-    twice) and runs the unity-crossing scan across the stacked design axis.
+    The scalar adapter's :func:`~repro.pll.margins.compare_margins` is the
+    one-row case of the same function, and a row's result does not depend
+    on its batch, so the two agree bitwise; batching only lets the rows'
+    crossover refinements run together.
     """
     from repro.pll.margins import compare_margins_batch
 

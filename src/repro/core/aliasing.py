@@ -93,14 +93,21 @@ def elementary_alias_sum(x: complex | np.ndarray, omega0: float, order: int = 1)
     omega0 = check_positive("omega0", omega0)
     order = check_order("order", order, minimum=1)
     c = math.pi / omega0  # T / 2
-    y = coth(c * np.asarray(x, dtype=complex))
-    poly = np.asarray(_alias_poly(order))
-    value = np.polynomial.polynomial.polyval(y, poly)
-    scale = (-1.0) ** (order - 1) * c**order / math.factorial(order - 1)
-    result = scale * value
+    result = _alias_from_coth(coth(c * np.asarray(x, dtype=complex)), c, order)
     if np.ndim(x) == 0:
         return complex(result)
     return result
+
+
+def _alias_from_coth(y, c: float, order: int):
+    """``S_order`` given ``y = coth(c x)``: ``(-1)^(j-1) c^j / (j-1)! p_j(y)``."""
+    coeffs = _alias_poly(order)
+    # Horner's rule in the order np.polynomial.polynomial.polyval uses.
+    value = coeffs[-1] + y * 0
+    for coeff in coeffs[-2::-1]:
+        value = coeff + value * y
+    scale = (-1.0) ** (order - 1) * c**order / math.factorial(order - 1)
+    return scale * value
 
 
 # Content-keyed LRU of AliasedSum constructions (see AliasedSum.of).
@@ -177,10 +184,14 @@ class AliasedSum:
         s_arr = np.asarray(s, dtype=complex)
         out = np.zeros(np.atleast_1d(s_arr).shape, dtype=complex)
         flat_s = np.atleast_1d(s_arr)
+        c = math.pi / self.omega0
+        pole = y = None
         for term in self.terms:
-            out += term.residue * elementary_alias_sum(
-                flat_s - term.pole, self.omega0, term.order
-            )
+            # The terms of one pole are adjacent (orders mu..1): one coth serves them.
+            if y is None or term.pole != pole:
+                pole = term.pole
+                y = coth(c * (flat_s - pole))
+            out += term.residue * _alias_from_coth(y, c, term.order)
         if s_arr.ndim == 0:
             return complex(out[0])
         return out

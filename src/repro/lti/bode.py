@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro._errors import ConvergenceError, ValidationError
 
@@ -81,53 +81,238 @@ def bode_points(system, omega: Sequence[float] | np.ndarray) -> list[BodePoint]:
 
 
 def _log_grid(omega_min: float, omega_max: float, points: int) -> np.ndarray:
+    """The read-only log scan grid; the margin path asks for one grid
+    several times per design, so recent grids are kept."""
     if omega_min <= 0 or omega_max <= omega_min:
         raise ValidationError(
             f"need 0 < omega_min < omega_max, got [{omega_min}, {omega_max}]"
         )
-    return np.logspace(math.log10(omega_min), math.log10(omega_max), points)
+    return _cached_log_grid(float(omega_min), float(omega_max), int(points))
+
+
+@lru_cache(maxsize=32)
+def _cached_log_grid(omega_min: float, omega_max: float, points: int) -> np.ndarray:
+    grid = np.logspace(math.log10(omega_min), math.log10(omega_max), points)
+    grid.flags.writeable = False
+    return grid
+
+
+#: A refinement step below ``_XTOL + _RTOL * |x|`` (in log-frequency) ends a row.
+_XTOL = 1e-13
+_RTOL = 4.0 * np.finfo(float).eps
+_MAX_STEPS = 100
+
+
+def _refine(evaluate, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Roots of ``K`` scalar functions at once, one per sign-changing bracket.
+
+    ``evaluate(x, rows)`` returns ``(f, slope)`` of the listed rows at ``x``;
+    ``slope`` is ``None`` when no derivative is known, and the rows then take
+    secant steps instead of Newton steps.  The first step is the secant
+    through the bracket ends, a step that leaves the shrinking bracket is
+    replaced by bisection, and a row stops once its step is within
+    tolerance (or it hits an exact zero).  A stopped row is never evaluated
+    again, and every operation is elementwise, so a row's root depends only
+    on its own function, never on the other rows.  Rows that meet a
+    non-finite value or do not converge come back as NaN.
+    """
+    roots = np.full(lo.size, np.nan)
+    at_lo = f_lo == 0
+    at_hi = f_hi == 0
+    roots[at_hi] = hi[at_hi]
+    roots[at_lo] = lo[at_lo]
+    rows = np.nonzero(~(at_lo | at_hi))[0]
+    a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+    with np.errstate(all="ignore"):
+        x = a - fa * (b - a) / (fb - fa)
+    # A comparison with NaN is false, so a non-finite step also bisects.
+    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+    nearer_a = np.abs(fa) < np.abs(fb)
+    x_prev, f_prev = np.where(nearer_a, a, b), np.where(nearer_a, fa, fb)
+    for _ in range(_MAX_STEPS):
+        if rows.size == 0:
+            break
+        f, slope = evaluate(x, rows)
+        left = np.sign(f) == np.sign(fa)
+        a, fa = np.where(left, x, a), np.where(left, f, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, f)
+        with np.errstate(all="ignore"):
+            new = x - (f / slope if slope is not None else f * (x - x_prev) / (f - f_prev))
+        new = np.where((new > a) & (new < b), new, 0.5 * (a + b))
+        tol = _XTOL + _RTOL * np.abs(x)
+        bad = ~np.isfinite(f)
+        stop = bad | (f == 0) | (np.abs(new - x) <= tol) | (b - a <= tol)
+        found = np.where(bad, np.nan, np.where(f == 0, x, new))
+        if stop.all():
+            roots[rows] = found
+            break
+        roots[rows[stop]] = found[stop]
+        keep = ~stop
+        x_prev, f_prev, x = x[keep], f[keep], new[keep]
+        a, b, fa, fb, rows = a[keep], b[keep], fa[keep], fb[keep], rows[keep]
+    return roots
 
 
 def _refine_crossing(
     func: Callable[[float], float], w_lo: float, w_hi: float
 ) -> float:
-    """Bisect a sign change of ``func`` between two frequencies (log-spaced)."""
-    return float(
-        math.exp(brentq(lambda lw: func(math.exp(lw)), math.log(w_lo), math.log(w_hi), xtol=1e-13))
+    """Refine one sign change of ``func`` between two frequencies (log-spaced)."""
+
+    def evaluate(x: np.ndarray, _rows: np.ndarray):
+        return np.array([func(math.exp(x[0]))]), None
+
+    lo, hi = math.log(w_lo), math.log(w_hi)
+    root = _refine(
+        evaluate, np.array([lo]), np.array([hi]), np.array([func(w_lo)]), np.array([func(w_hi)])
+    )[0]
+    if not math.isfinite(root):
+        raise ConvergenceError(f"crossing refinement failed on [{w_lo}, {w_hi}]")
+    return math.exp(root)
+
+
+class ResponseStack:
+    """``K`` frequency responses scanned and refined together, one per row.
+
+    ``rows[k]`` evaluates row ``k`` on a frequency array (``omega ->
+    H(j omega)``).  ``derivatives``, when given, holds every row's ``dH/ds``
+    at ``s = j omega`` in the same form; the crossover refinement then
+    takes Newton steps instead of secant steps.  :meth:`scan` keeps the
+    samples of the last grid (``grid``/``samples`` may seed them), so
+    :func:`gain_crossover` and :func:`phase_margin` on one stack evaluate
+    the grid once.
+    """
+
+    def __init__(
+        self,
+        rows: Sequence[ResponseLike],
+        derivatives: Sequence[ResponseLike] | None = None,
+        grid: np.ndarray | None = None,
+        samples: np.ndarray | None = None,
+    ):
+        self.rows = list(rows)
+        self.derivatives = None if derivatives is None else list(derivatives)
+        self._grid = grid
+        self._samples = samples
+
+    def scan(self, grid: np.ndarray) -> np.ndarray:
+        """``(K, N)`` samples of every row on ``grid``."""
+        if self._grid is not grid and (self._grid is None or not np.array_equal(self._grid, grid)):
+            self._samples = np.array([np.asarray(r(grid), dtype=complex) for r in self.rows])
+            self._grid = grid
+        return self._samples
+
+    def __call__(self, omega: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row ``rows[i]`` at ``omega[i]``, for every ``i``."""
+        return _pointwise(self.rows, omega, rows)
+
+    def derivative(self, omega: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+        """``dH/ds`` of row ``rows[i]`` at ``j omega[i]``; ``None`` when unknown."""
+        if self.derivatives is None:
+            return None
+        return _pointwise(self.derivatives, omega, rows)
+
+
+def _pointwise(fns: list[ResponseLike], omega: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return np.array(
+        [complex(fns[r](omega[i : i + 1])[0]) for i, r in enumerate(rows)], dtype=complex
     )
 
 
+def _log_magnitude(mags: np.ndarray) -> np.ndarray:
+    return np.log(np.where(mags > 0, mags, np.finfo(float).tiny))
+
+
+def _crossovers(
+    stack: ResponseStack,
+    grid: np.ndarray,
+    mags: np.ndarray,
+    omega_min: float,
+    omega_max: float,
+    which: str,
+) -> list[float | ConvergenceError]:
+    """Per-row unity crossings of a ``(K, N)`` magnitude stack, refined together."""
+    # sign(log |H|) is sign(|H| - 1); the log is taken only at the brackets.
+    change = np.diff(np.sign(mags - 1.0), axis=1) != 0
+    if which == "last":
+        pick = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
+    else:
+        pick = np.argmax(change, axis=1)
+    crosses = change.any(axis=1)
+    out: list[float | ConvergenceError] = [
+        ConvergenceError(
+            f"|H| never crosses unity on [{omega_min}, {omega_max}] "
+            f"(range [{mags[k].min():.3g}, {mags[k].max():.3g}])"
+        )
+        if not crosses[k]
+        else None
+        for k in range(mags.shape[0])
+    ]
+    live = np.nonzero(crosses)[0]
+    if live.size == 0:
+        return out
+    pick = pick[live]
+
+    def evaluate(x: np.ndarray, idx: np.ndarray):
+        omega = np.exp(x)
+        rows = live[idx]
+        value = stack(omega, rows)
+        f = _log_magnitude(np.abs(value))
+        dvalue = stack.derivative(omega, rows)
+        if dvalue is None:
+            return f, None
+        # d/du log|H(j e^u)| = Re(j omega H'(j omega) / H(j omega))
+        with np.errstate(all="ignore"):
+            return f, np.real(1j * omega * dvalue / value)
+
+    roots = _refine(
+        evaluate,
+        np.log(grid[pick]),
+        np.log(grid[pick + 1]),
+        _log_magnitude(mags[live, pick]),
+        _log_magnitude(mags[live, pick + 1]),
+    )
+    for k, root in zip(live, roots):
+        out[k] = (
+            float(math.exp(root))
+            if math.isfinite(root)
+            else ConvergenceError(
+                f"unity-crossing refinement failed on [{omega_min}, {omega_max}]"
+            )
+        )
+    return out
+
+
 def crossover_from_samples(
-    response: ResponseLike,
+    response,
     grid: np.ndarray,
     mags: np.ndarray,
     omega_min: float,
     omega_max: float,
     which: str = "last",
-) -> float:
+) -> float | list[float | ConvergenceError]:
     """Unity-gain crossover given precomputed ``|H|`` samples on ``grid``.
 
     This is the scan+refine core of :func:`gain_crossover`, split out so
-    batch callers that already evaluated the response on the grid (e.g. one
-    stacked ``dense_grid`` call across a parameter axis) can reuse the
-    samples instead of re-evaluating.  Given identical samples it returns a
-    bit-identical result to :func:`gain_crossover` — same bracket selection,
-    same Brent refinement, same error message.
+    callers that already evaluated the response on the grid reuse the
+    samples.  The bracket is the ``which`` (``'last'`` or ``'first'``) sign
+    change of ``log |H|``; the refinement is a bracketed secant iteration,
+    or Newton when the response knows its derivative.
+
+    ``mags`` of shape ``(N,)`` takes a vectorized ``response`` and returns
+    the crossover, raising :class:`ConvergenceError` when there is none.
+    ``mags`` of shape ``(K, N)`` takes a :class:`ResponseStack` and
+    returns one entry per row — the crossover, or the
+    :class:`ConvergenceError` the one-row call would raise — with all rows
+    refined together.
     """
-    logmag = np.log(np.where(mags > 0, mags, np.finfo(float).tiny))
-    signs = np.sign(logmag)
-    idx = np.nonzero(np.diff(signs) != 0)[0]
-    if idx.size == 0:
-        raise ConvergenceError(
-            f"|H| never crosses unity on [{omega_min}, {omega_max}] "
-            f"(range [{mags.min():.3g}, {mags.max():.3g}])"
-        )
-    pick = idx[-1] if which == "last" else idx[0]
-
-    def objective(w: float) -> float:
-        return float(np.log(np.abs(response(np.array([w]))[0])))
-
-    return _refine_crossing(objective, grid[pick], grid[pick + 1])
+    if np.ndim(mags) == 2:
+        return _crossovers(response, grid, np.asarray(mags), omega_min, omega_max, which)
+    out = _crossovers(
+        ResponseStack([response]), grid, np.asarray(mags)[None, :], omega_min, omega_max, which
+    )[0]
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
 
 
 def gain_crossover(
@@ -136,21 +321,26 @@ def gain_crossover(
     omega_max: float = 1e3,
     points: int = 2000,
     which: str = "last",
-) -> float:
+) -> float | list[float | ConvergenceError]:
     """Frequency where ``|H(j omega)|`` crosses unity.
 
-    Scans a logarithmic grid, then refines each bracketing interval with
-    Brent's method.  ``which`` selects ``'first'`` or ``'last'`` crossing
-    (``'last'`` is the conservative choice for margin analysis of gain
-    characteristics with ripple, such as the aliased ``lambda``).
+    Scans a logarithmic grid, then refines the bracketing interval (see
+    :func:`crossover_from_samples`).  ``which`` selects ``'first'`` or
+    ``'last'`` crossing (``'last'`` is the conservative choice for margin
+    analysis of gain characteristics with ripple, such as the aliased
+    ``lambda``).  A :class:`ResponseStack` gives one entry per row, a
+    crossover or a :class:`ConvergenceError`.
 
     Raises
     ------
     ConvergenceError
         If the magnitude never crosses unity on the scanned range.
     """
-    response = as_response(system)
     grid = _log_grid(omega_min, omega_max, points)
+    if isinstance(system, ResponseStack):
+        mags = np.abs(system.scan(grid))
+        return crossover_from_samples(system, grid, mags, omega_min, omega_max, which)
+    response = as_response(system)
     mags = np.abs(response(grid))
     return crossover_from_samples(response, grid, mags, omega_min, omega_max, which)
 
@@ -166,26 +356,66 @@ def phase_margin(
     omega_min: float = 1e-3,
     omega_max: float = 1e3,
     points: int = 2000,
-    w_ug: float | None = None,
-) -> float:
+    w_ug: float | Sequence[float | Exception] | None = None,
+) -> float | list[float | Exception]:
     """Phase margin in degrees: ``180 + arg H(j omega_UG)``.
 
-    The phase is unwrapped along the scan from ``omega_min`` up to the gain
-    crossover so that loops whose phase dips below -180 degrees (the fast-PLL
-    failure mode the paper quantifies) report a *negative* margin instead of
-    a wrapped-around positive one.
+    The phase is unwrapped along the scan grid up to the bracket of the
+    gain crossover, then the principal-value phase at ``omega_UG`` is
+    added, so loops whose phase dips below -180 degrees (the fast-PLL
+    failure mode the paper quantifies) report a *negative* margin instead
+    of a wrapped-around positive one.
 
-    A caller that already knows the gain crossover (e.g. from a preceding
-    :func:`gain_crossover` call on the same response) may pass it as
-    ``w_ug`` to skip recomputing it; the result is identical by
-    construction since ``gain_crossover`` is deterministic.
+    A caller that already knows the gain crossover (from
+    :func:`gain_crossover` on the same response and range) passes it as
+    ``w_ug``; it must lie in the scanned range.  A :class:`ResponseStack`
+    reuses its scan and gives one entry per row, where ``w_ug`` is the
+    per-row list :func:`gain_crossover` returned (a row's error passes
+    through).
     """
+    grid = _log_grid(omega_min, omega_max, points)
+    stacked = isinstance(system, ResponseStack)
+    stack = system if stacked else ResponseStack([as_response(system)])
     if w_ug is None:
-        w_ug = gain_crossover(system, omega_min, omega_max, points)
-    response = as_response(system)
-    grid = _log_grid(omega_min, w_ug, max(points // 2, 64))
-    phases = np.unwrap(np.angle(response(grid)))
-    return 180.0 + math.degrees(phases[-1])
+        w_ug = gain_crossover(stack, omega_min, omega_max, points)
+    elif not stacked:
+        w_ug = [w_ug]
+    samples = stack.scan(grid)
+    out: list = list(w_ug)
+    live = [k for k, w in enumerate(w_ug) if not isinstance(w, Exception)]
+    if live:
+        omega = np.array([w_ug[k] for k in live], dtype=float)
+        # A crossover refined onto a grid end may sit an ulp outside it.
+        if np.any(omega < grid[0] * (1 - 1e-12)) or np.any(omega > grid[-1] * (1 + 1e-12)):
+            raise ValidationError(
+                f"w_ug must lie in the scanned range [{omega_min}, {omega_max}]"
+            )
+        theta = np.angle(stack(omega, np.array(live)))
+        picks = np.clip(np.searchsorted(grid, omega, side="right") - 1, 0, grid.size - 1)
+        for k, pick, th in zip(live, picks, theta):
+            phase = _unwrapped_end(np.append(np.angle(samples[k, : pick + 1]), th))
+            out[k] = 180.0 + math.degrees(phase)
+    if stacked:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
+def _unwrapped_end(phases: np.ndarray) -> float:
+    """``np.unwrap(phases)[-1]``, correcting only at the jumps of at least pi.
+
+    The same corrections, summed in the same order, as :func:`np.unwrap`;
+    the steps in between contribute exact zeros there.
+    """
+    steps = np.diff(phases)
+    jumps = steps[np.abs(steps) >= math.pi]
+    wrapped = np.mod(jumps + math.pi, 2 * math.pi) - math.pi
+    wrapped[(wrapped == -math.pi) & (jumps > 0)] = math.pi
+    total = 0.0
+    for correction in wrapped - jumps:
+        total += correction
+    return float(phases[-1] + total)
 
 
 def phase_crossover(
@@ -244,7 +474,7 @@ def stability_margins(
     """Compute all classical margins in one report; missing ones become NaN."""
     try:
         w_ug = gain_crossover(system, omega_min, omega_max, points)
-        pm = phase_margin(system, omega_min, omega_max, points)
+        pm = phase_margin(system, omega_min, omega_max, points, w_ug=w_ug)
     except ConvergenceError:
         w_ug, pm = math.nan, math.nan
     try:
@@ -336,7 +566,7 @@ def delay_margin(
     crossover exists on the scanned range.
     """
     w_ug = gain_crossover(system, omega_min, omega_max, points)
-    pm_deg = phase_margin(system, omega_min, omega_max, points)
+    pm_deg = phase_margin(system, omega_min, omega_max, points, w_ug=w_ug)
     return math.radians(pm_deg) / w_ug
 
 

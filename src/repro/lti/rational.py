@@ -46,6 +46,12 @@ def _as_poly(name: str, coeffs: Sequence[complex] | np.ndarray) -> np.ndarray:
     return _trim(arr)
 
 
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.polymul`` of two trimmed coefficient arrays, as the instances
+    hold them: the same convolution without the ``poly1d`` round trip."""
+    return np.convolve(a, b)
+
+
 def _poly_taylor(coeffs: np.ndarray, point: complex, count: int) -> np.ndarray:
     """Return the first ``count`` Taylor coefficients of a polynomial at ``point``.
 
@@ -70,6 +76,10 @@ def _poly_taylor(coeffs: np.ndarray, point: complex, count: int) -> np.ndarray:
         if work.size == 0:
             break
     return taylor
+
+
+#: Pole-clustering tolerances :meth:`RationalFunction.partial_fractions` tries.
+_PF_LADDER = (1e-9, 1e-7, 1e-5, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,7 @@ class RationalFunction:
     :meth:`simplified` explicitly when cancellation is wanted.
     """
 
-    __slots__ = ("_num", "_den", "_pf_cache")
+    __slots__ = ("_num", "_den", "_pf_cache", "_roots")
 
     def __init__(self, num: Sequence[complex], den: Sequence[complex]):
         num_arr = _as_poly("num", num)
@@ -114,6 +124,7 @@ class RationalFunction:
         object.__setattr__(self, "_num", num_arr / lead)
         object.__setattr__(self, "_den", den_arr / lead)
         object.__setattr__(self, "_pf_cache", {})
+        object.__setattr__(self, "_roots", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -190,10 +201,14 @@ class RationalFunction:
         return bool(np.all(np.abs(self._num) <= tol))
 
     def poles(self) -> np.ndarray:
-        """Roots of the denominator (with multiplicity, unsorted)."""
-        if self.den_degree == 0:
-            return np.empty(0, dtype=complex)
-        return np.roots(self._den)
+        """Roots of the denominator (with multiplicity, unsorted).
+
+        Computed once per instance; each call returns a fresh copy.
+        """
+        if self._roots is None:
+            roots = np.roots(self._den) if self.den_degree > 0 else np.empty(0, dtype=complex)
+            object.__setattr__(self, "_roots", roots)
+        return self._roots.copy()
 
     def zeros(self) -> np.ndarray:
         """Roots of the numerator (with multiplicity, unsorted)."""
@@ -240,10 +255,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        num = np.polyadd(
-            np.polymul(self._num, other._den), np.polymul(other._num, self._den)
-        )
-        den = np.polymul(self._den, other._den)
+        num = np.polyadd(_polymul(self._num, other._den), _polymul(other._num, self._den))
+        den = _polymul(self._den, other._den)
         return RationalFunction(num, den)
 
     __radd__ = __add__
@@ -259,9 +272,7 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        return RationalFunction(
-            np.polymul(self._num, other._num), np.polymul(self._den, other._den)
-        )
+        return RationalFunction(_polymul(self._num, other._num), _polymul(self._den, other._den))
 
     __rmul__ = __mul__
 
@@ -269,9 +280,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(
-            np.polymul(self._num, other._den), np.polymul(self._den, other._num)
-        )
+        return RationalFunction(_polymul(self._num, other._den), _polymul(self._den, other._num))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -448,9 +457,30 @@ class RationalFunction:
             result = self._partial_fractions_at_tol(tol)
             self._pf_cache[tol] = result
             return result
+        # The expansion depends on the tolerance only through the pole
+        # clustering, and the strict `<` below keeps the first of equal
+        # scores, so a tolerance that clusters like an earlier one cannot
+        # win: expand and score each distinct clustering once.  With a
+        # single clustering there is nothing to score.
+        ladder: list[float] = []
+        seen: list[list[tuple[complex, int]]] = []
+        for candidate in _PF_LADDER:
+            groups = self.pole_multiplicities(tol=candidate)
+            if groups not in seen:
+                seen.append(groups)
+                ladder.append(candidate)
+        if len(ladder) == 1:
+            try:
+                result = self._partial_fractions_at_tol(ladder[0])
+            except ValidationError:
+                raise ValidationError(
+                    "partial-fraction expansion failed at every tolerance"
+                ) from None
+            self._pf_cache[tol] = result
+            return result
         best: tuple[float, tuple[np.ndarray, list[PartialFractionTerm]]] | None = None
         num_scale = float(np.max(np.abs(self._num))) or 1.0
-        for candidate in (1e-9, 1e-7, 1e-5, 1e-3):
+        for candidate in ladder:
             try:
                 expansion = self._partial_fractions_at_tol(candidate)
             except ValidationError:

@@ -9,6 +9,7 @@ in :mod:`repro.pll.openloop` / :mod:`repro.pll.closedloop`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._errors import ValidationError
 from repro.blocks.chargepump import ChargePump
@@ -63,10 +64,19 @@ class PLL:
         """Reference period ``T`` (seconds)."""
         return self.pfd.period
 
-    @property
+    @cached_property
     def h_lf(self) -> TransferFunction:
-        """Loop-filter block transfer ``H_LF(s) = I_cp Z_LF(s)`` (eq. 21)."""
+        """Loop-filter block transfer ``H_LF(s) = I_cp Z_LF(s)`` (eq. 21).
+
+        Built once per design; the cache is not part of equality, hashing
+        or the pickled state.
+        """
         return self.charge_pump.loop_filter_transfer(self.filter_impedance)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("h_lf", None)
+        return state
 
     @property
     def has_delay(self) -> bool:

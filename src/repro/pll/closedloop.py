@@ -93,6 +93,7 @@ class ClosedLoopHTM:
         self._delay = pll.delay
         self._offset = pll.pfd.sampling_offset
         self._alias_sums: list[AliasedSum] = []
+        self._alias_derivatives: list[AliasedSum] | None = None
         if method == "closed":
             self._alias_sums = self._build_alias_sums()
 
@@ -284,6 +285,25 @@ class ClosedLoopHTM:
         """
         omega_arr = as_omega_grid("omega", omega)
         return np.asarray(self.effective_gain(1j * omega_arr), dtype=complex)
+
+    def effective_gain_derivative(self, s: complex | np.ndarray) -> complex | np.ndarray:
+        """``d lambda / ds`` in closed form (``method='closed'`` only).
+
+        The sum of each aliasing sum's exact derivative
+        (:meth:`~repro.core.aliasing.AliasedSum.derivative`); the crossover
+        refinement of :mod:`repro.pll.margins` takes Newton steps with it.
+        """
+        if self.method != "closed":
+            raise ValidationError("the exact derivative of lambda needs method='closed'")
+        if self._alias_derivatives is None:
+            self._alias_derivatives = [alias.derivative() for alias in self._alias_sums]
+        s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
+        total = np.zeros(s_arr.shape, dtype=complex)
+        for alias in self._alias_derivatives:
+            total += np.asarray(alias(s_arr), dtype=complex)
+        if np.ndim(s) == 0:
+            return complex(total[0])
+        return total
 
     # -- closed-loop transfers (eq. 34 / 38) --------------------------------------------
 

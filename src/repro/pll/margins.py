@@ -23,12 +23,7 @@ import numpy as np
 
 from repro._errors import ValidationError
 from repro.core.grid import FrequencyGrid
-from repro.lti.bode import (
-    _log_grid,
-    crossover_from_samples,
-    gain_crossover,
-    phase_margin,
-)
+from repro.lti.bode import ResponseStack, _log_grid, gain_crossover, phase_margin
 from repro.pll.architecture import PLL
 from repro.pll.closedloop import ClosedLoopHTM
 
@@ -69,12 +64,9 @@ class EffectiveMargins:
         )
 
 
-def effective_open_loop(pll: PLL, **closed_loop_kwargs) -> Callable[[np.ndarray], np.ndarray]:
-    """The effective gain ``lambda(j omega)`` as a margin-tool-ready callable.
-
-    Loops the coth closed form cannot express (sample-and-hold PFD, delay,
-    sampling offset) automatically fall back to the truncated sum.
-    """
+def _effective_closed_loop(pll: PLL, **closed_loop_kwargs) -> ClosedLoopHTM:
+    """The closed loop whose ``lambda`` the margins are measured on (see
+    :func:`effective_open_loop`)."""
     if "method" not in closed_loop_kwargs:
         from repro.blocks.pfd import SampleHoldPFD
 
@@ -86,8 +78,16 @@ def effective_open_loop(pll: PLL, **closed_loop_kwargs) -> Callable[[np.ndarray]
         if needs_truncated:
             closed_loop_kwargs["method"] = "truncated"
             closed_loop_kwargs.setdefault("harmonics", 400)
-    closed = ClosedLoopHTM(pll, **closed_loop_kwargs)
-    return closed.effective_gain_response
+    return ClosedLoopHTM(pll, **closed_loop_kwargs)
+
+
+def effective_open_loop(pll: PLL, **closed_loop_kwargs) -> Callable[[np.ndarray], np.ndarray]:
+    """The effective gain ``lambda(j omega)`` as a margin-tool-ready callable.
+
+    Loops the coth closed form cannot express (sample-and-hold PFD, delay,
+    sampling offset) automatically fall back to the truncated sum.
+    """
+    return _effective_closed_loop(pll, **closed_loop_kwargs).effective_gain_response
 
 
 def compare_margins(
@@ -101,51 +101,39 @@ def compare_margins(
 ) -> EffectiveMargins:
     """Measure LTI and effective margins of one loop design.
 
-    The scan range is expressed relative to the reference frequency: from
-    ``omega_min_factor * w0`` up to ``omega_max_factor * w0`` (default just
-    below the ``w0/2`` alias symmetry point, beyond which lambda repeats).
-    Passing a :class:`~repro.core.grid.FrequencyGrid` instead pins the scan
-    to that grid's bounds and point count, overriding the factor arguments.
-    ``backend`` selects the compute backend for any structured grid
-    evaluation underneath (forwarded to :class:`ClosedLoopHTM`).
+    The one-row case of :func:`compare_margins_batch`, raising the
+    exception that batch would carry in the design's slot.
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
-    omega0 = pll.omega0
+    outcome = compare_margins_batch(
+        [pll],
+        omega_min_factor,
+        omega_max_factor,
+        points,
+        grid=grid,
+        backend=backend,
+        **closed_loop_kwargs,
+    )[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _scan_window(
+    pll: PLL,
+    omega_min_factor: float,
+    omega_max_factor: float | None,
+    grid: FrequencyGrid | None,
+) -> tuple[float, float]:
     if grid is not None:
-        w_lo = float(grid.omega[0])
-        w_hi = float(grid.omega[-1])
-        points = len(grid)
+        w_lo, w_hi = float(grid.omega[0]), float(grid.omega[-1])
         if not 0 < w_lo < w_hi:
             raise ValidationError("margin scan grid must be positive and increasing")
-    else:
-        if omega_max_factor is None:
-            omega_max_factor = 0.499
-        if not 0 < omega_min_factor < omega_max_factor:
-            raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
-        w_lo = omega_min_factor * omega0
-        w_hi = omega_max_factor * omega0
-    # The exact callable covers irrational loop elements (ZOH hold, delay)
-    # that the rational A(s) cannot represent.
-    from repro.pll.openloop import open_loop_callable
-
-    a_fn = open_loop_callable(pll)
-
-    def a(omega):
-        return np.asarray(a_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
-
-    lam = effective_open_loop(pll, **closed_loop_kwargs)
-    # A(s) rolls off monotonically, so a wide scan is safe for the LTI pair.
-    w_ug_lti = gain_crossover(a, w_lo, w_hi, points)
-    pm_lti = phase_margin(a, w_lo, w_hi, points)
-    w_ug_eff = gain_crossover(lam, w_lo, w_hi, points)
-    pm_eff = phase_margin(lam, w_lo, w_hi, points)
-    return EffectiveMargins(
-        omega_ug_lti=w_ug_lti,
-        phase_margin_lti_deg=pm_lti,
-        omega_ug_eff=w_ug_eff,
-        phase_margin_eff_deg=pm_eff,
-    )
+        return w_lo, w_hi
+    if omega_max_factor is None:
+        omega_max_factor = 0.499
+    if not 0 < omega_min_factor < omega_max_factor:
+        raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
+    return omega_min_factor * pll.omega0, omega_max_factor * pll.omega0
 
 
 def compare_margins_batch(
@@ -153,82 +141,95 @@ def compare_margins_batch(
     omega_min_factor: float = 1e-3,
     omega_max_factor: float | None = None,
     points: int = 4000,
+    grid: FrequencyGrid | None = None,
     backend: str | None = None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins | Exception]:
-    """Batched :func:`compare_margins` over a stacked design axis.
+    """LTI and effective margins of many loop designs, one slot per design.
 
-    Evaluates every design's ``A(j omega)`` and ``lambda(j omega)`` exactly
-    once on the shared scan grid, stacks the samples into a ``(K, N)``
-    array, and runs the magnitude scan across the whole stack in one
-    vectorized pass; the crossover bracket/refinement and the phase grid
-    stay per-design.  Because elementwise ufuncs and the shared
-    :func:`~repro.lti.bode.crossover_from_samples` core operate row-by-row
-    on identical samples, each result is **bitwise identical** to the
-    scalar :func:`compare_margins` call for the same design — the scalar
-    path stays the correctness oracle.  The win is eliminating the
-    duplicate response evaluations the scalar path performs (each of
-    ``gain_crossover`` and ``phase_margin`` re-scans the full grid).
+    The scan range is expressed relative to each design's reference
+    frequency: from ``omega_min_factor * w0`` up to ``omega_max_factor *
+    w0`` (default just below the ``w0/2`` alias symmetry point, beyond
+    which lambda repeats).  Passing a :class:`~repro.core.grid.FrequencyGrid`
+    instead pins the scan to that grid's bounds and point count.
+    ``backend`` selects the compute backend for any structured grid
+    evaluation underneath (forwarded to :class:`ClosedLoopHTM`).
+
+    Each design's ``A(j omega)`` and ``lambda(j omega)`` are evaluated once
+    on the log scan grid.  Designs sharing a scan window are stacked into
+    :class:`~repro.lti.bode.ResponseStack` rows: the last unity crossing of
+    every row is refined together (Newton steps on the exact derivative of
+    the closed-form ``lambda``, secant steps otherwise), and each phase
+    margin is unwrapped from the same scan samples.  A row's refinement
+    never depends on the other rows, so every slot is bitwise the
+    :func:`compare_margins` result for that design.
 
     One failing design never poisons the batch: its slot carries the
-    exception (``ConvergenceError``, ``ValidationError``, ...) that the
-    scalar call would have raised, and the other slots complete.
+    exception (``ConvergenceError``, ``ValidationError``, ...) that
+    :func:`compare_margins` raises for it, and the other slots complete.
     """
     if backend is not None:
         closed_loop_kwargs.setdefault("backend", backend)
-    results: list[EffectiveMargins | Exception] = [None] * len(plls)  # type: ignore[list-item]
-    if omega_max_factor is None:
-        omega_max_factor = 0.499
-    if not 0 < omega_min_factor < omega_max_factor:
-        raise ValidationError("need 0 < omega_min_factor < omega_max_factor")
+    if grid is not None:
+        points = len(grid)
+    windows = [_scan_window(pll, omega_min_factor, omega_max_factor, grid) for pll in plls]
 
     from repro.pll.openloop import open_loop_callable
 
-    # Group designs sharing a scan window so their samples can stack.
-    groups: dict[tuple[float, float], list[int]] = {}
+    results: list[EffectiveMargins | Exception] = [None] * len(plls)  # type: ignore[list-item]
+    # Rows stack by scan window, and by whether lambda has an exact derivative.
+    groups: dict[tuple[float, float, bool], list[tuple[int, Callable, ClosedLoopHTM]]] = {}
     for i, pll in enumerate(plls):
-        w_lo = omega_min_factor * pll.omega0
-        w_hi = omega_max_factor * pll.omega0
-        groups.setdefault((w_lo, w_hi), []).append(i)
+        try:
+            # The exact callable covers irrational loop elements (ZOH hold,
+            # delay) that the rational A(s) cannot represent.
+            a_fn = open_loop_callable(pll)
 
-    for (w_lo, w_hi), indices in groups.items():
-        grid = _log_grid(w_lo, w_hi, points)
-        samples_a: list[np.ndarray] = []
-        samples_lam: list[np.ndarray] = []
-        live: list[tuple[int, Callable, Callable]] = []
-        for i in indices:
-            try:
-                a_fn = open_loop_callable(plls[i])
+            def a(omega, _fn=a_fn):
+                return np.asarray(_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
 
-                def a(omega, _fn=a_fn):
-                    return np.asarray(_fn(1j * np.asarray(omega, dtype=float)), dtype=complex)
-
-                lam = effective_open_loop(plls[i], **closed_loop_kwargs)
-                samples_a.append(np.asarray(a(grid), dtype=complex))
-                samples_lam.append(np.asarray(lam(grid), dtype=complex))
-                live.append((i, a, lam))
-            except Exception as exc:  # captured per-slot, scalar-equivalent
-                results[i] = exc
-        if not live:
+            closed = _effective_closed_loop(pll, **closed_loop_kwargs)
+        except Exception as exc:  # captured per slot
+            results[i] = exc
             continue
-        # One vectorized magnitude pass across the stacked design axis.
-        mags_a = np.abs(np.stack(samples_a))
-        mags_lam = np.abs(np.stack(samples_lam))
-        for row, (i, a, lam) in enumerate(live):
+        key = (*windows[i], closed.method == "closed")
+        groups.setdefault(key, []).append((i, a, closed))
+
+    for (w_lo, w_hi, exact), members in groups.items():
+        scan = _log_grid(w_lo, w_hi, points)
+        live, rows_a, rows_lam, samples_a, samples_lam = [], [], [], [], []
+        for i, a, closed in members:
             try:
-                w_ug_lti = crossover_from_samples(a, grid, mags_a[row], w_lo, w_hi)
-                pm_lti = phase_margin(a, w_lo, w_hi, points, w_ug=w_ug_lti)
-                w_ug_eff = crossover_from_samples(lam, grid, mags_lam[row], w_lo, w_hi)
-                pm_eff = phase_margin(lam, w_lo, w_hi, points, w_ug=w_ug_eff)
+                sample_a = np.asarray(a(scan), dtype=complex)
+                sample_lam = np.asarray(closed.effective_gain_response(scan), dtype=complex)
             except Exception as exc:
                 results[i] = exc
                 continue
-            results[i] = EffectiveMargins(
-                omega_ug_lti=w_ug_lti,
-                phase_margin_lti_deg=pm_lti,
-                omega_ug_eff=w_ug_eff,
-                phase_margin_eff_deg=pm_eff,
-            )
+            live.append((i, closed))
+            rows_a.append(a)
+            rows_lam.append(closed.effective_gain_response)
+            samples_a.append(sample_a)
+            samples_lam.append(sample_lam)
+        if not live:
+            continue
+        derivatives = None
+        if exact:
+            derivatives = [
+                lambda omega, _c=closed: _c.effective_gain_derivative(1j * omega)
+                for _, closed in live
+            ]
+        stack_a = ResponseStack(rows_a, grid=scan, samples=np.array(samples_a))
+        stack_lam = ResponseStack(
+            rows_lam, derivatives, grid=scan, samples=np.array(samples_lam)
+        )
+        w_lti = gain_crossover(stack_a, w_lo, w_hi, points)
+        pm_lti = phase_margin(stack_a, w_lo, w_hi, points, w_ug=w_lti)
+        w_eff = gain_crossover(stack_lam, w_lo, w_hi, points)
+        pm_eff = phase_margin(stack_lam, w_lo, w_hi, points, w_ug=w_eff)
+        for row, (i, _) in enumerate(live):
+            values = (w_lti[row], pm_lti[row], w_eff[row], pm_eff[row])
+            failure = next((v for v in values if isinstance(v, Exception)), None)
+            results[i] = failure if failure is not None else EffectiveMargins(*values)
     return results
 
 
@@ -250,16 +251,22 @@ def margin_sweep(
         :func:`repro.pll.design.design_typical_loop` with everything else
         fixed).
     backend:
-        Compute backend forwarded to every :func:`compare_margins` call.
+        Compute backend forwarded to :func:`compare_margins_batch`.
+
+    All designs go through one :func:`compare_margins_batch` call; the
+    first failing design's exception is raised.
     """
     if backend is not None:
         closed_loop_kwargs.setdefault("backend", backend)
-    out = []
+    plls = []
     for ratio in np.asarray(ratios, dtype=float):
         if not 0.0 < ratio < 0.5:
             raise ValidationError(
                 f"w_UG/w0 ratio must lie in (0, 0.5) below the alias fold, got {ratio}"
             )
-        pll = designer(float(ratio))
-        out.append(compare_margins(pll, points=points, **closed_loop_kwargs))
+        plls.append(designer(float(ratio)))
+    out = compare_margins_batch(plls, points=points, **closed_loop_kwargs)
+    for outcome in out:
+        if isinstance(outcome, Exception):
+            raise outcome
     return out

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lti.rational import RationalFunction
+from repro._errors import ValidationError
+from repro.lti.rational import _PF_LADDER, RationalFunction
 
 finite_coeff = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -133,3 +134,107 @@ class TestPartialFractionReconstruction:
         for s in (1.0 + 0.5j, 0.2 + 2.2j):
             recon = complex(np.polyval(direct, s)) + sum(t(s) for t in terms)
             assert recon == pytest.approx(rf(s), rel=1e-4, abs=1e-7)
+
+
+def full_ladder(rf):
+    """The partial-fraction tolerance ladder without deduplication: expand
+    and score every tolerance, keep the first best score."""
+    best = None
+    num_scale = float(np.max(np.abs(rf.num))) or 1.0
+    for tol in _PF_LADDER:
+        try:
+            expansion = rf._partial_fractions_at_tol(tol)
+        except ValidationError:
+            continue
+        err = rf._reconstruction_error(expansion)
+        residue_scale = max((abs(t.residue) for t in expansion[1]), default=0.0)
+        score = err + 1e-14 * residue_scale / num_scale
+        if best is None or score < best[0]:
+            best = (score, expansion)
+    if best is None:
+        raise ValidationError("partial-fraction expansion failed at every tolerance")
+    return best[1]
+
+
+def _expansion_key(expansion):
+    direct, terms = expansion
+    return (direct.tobytes(), [(t.pole, t.order, t.residue) for t in terms])
+
+
+def _settled(build):
+    """The ladder's outcome on a fresh instance: the expansion or the error."""
+    try:
+        return _expansion_key(build().partial_fractions())
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+def _full(build):
+    try:
+        return _expansion_key(full_ladder(build()))
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def near_multiple_rationals(draw):
+    """Strictly proper rationals whose poles include near-multiple pairs split
+    by 1e-8..1e-4, so the ladder's tolerances cluster them differently."""
+    poles: list[complex] = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = complex(
+            draw(st.floats(min_value=-3.0, max_value=0.0)),
+            draw(st.floats(min_value=-2.0, max_value=2.0)),
+        )
+        poles.append(base)
+        for _ in range(draw(st.integers(0, 2))):
+            split = 10.0 ** draw(st.floats(min_value=-8.0, max_value=-4.0))
+            angle = draw(st.floats(min_value=0.0, max_value=6.28))
+            poles.append(base + split * complex(np.cos(angle), np.sin(angle)))
+    zeros = [
+        complex(draw(st.floats(min_value=-3.0, max_value=3.0)), 0.0)
+        for _ in range(draw(st.integers(0, len(poles) - 1)))
+    ]
+    gain = draw(st.floats(min_value=0.1, max_value=5.0))
+    num = gain * np.poly(zeros) if zeros else np.array([gain])
+    den = np.poly(poles)
+    return lambda: RationalFunction(num, den)
+
+
+class TestProductCoefficients:
+    @given(a=rationals(), b=rationals())
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_polymul_bitwise(self, a, b):
+        """Arithmetic convolves the stored coefficients exactly as np.polymul does."""
+        pm = np.polymul
+        product = RationalFunction(pm(a.num, b.num), pm(a.den, b.den))
+        total = RationalFunction(np.polyadd(pm(a.num, b.den), pm(b.num, a.den)), pm(a.den, b.den))
+        for got, want in ((a * b, product), (a + b, total)):
+            assert np.array_equal(got.num, want.num) and np.array_equal(got.den, want.den)
+
+
+class TestToleranceLadderDedupe:
+    @given(build=near_multiple_rationals())
+    @settings(max_examples=80, deadline=None)
+    def test_dedupe_equals_full_ladder(self, build):
+        assert _settled(build) == _full(build)
+
+    def test_differing_clusterings_still_scored(self):
+        # A double pole split by 1e-6: tolerances 1e-9/1e-7 keep two simple
+        # poles, 1e-5/1e-3 merge them, so two expansions compete.
+        def build():
+            return RationalFunction([1.0, 2.0], np.poly([-1.0, -1.0 + 1e-6, -3.0]))
+
+        clusterings = {tuple(build().pole_multiplicities(tol)) for tol in _PF_LADDER}
+        assert len(clusterings) == 2
+        assert _settled(build) == _full(build)
+
+    @given(build=near_multiple_rationals())
+    @settings(max_examples=20, deadline=None)
+    def test_mutating_poles_does_not_corrupt_the_memo(self, build):
+        rf = build()
+        first = rf.poles()
+        first[:] = 12345.0
+        assert not np.any(rf.poles() == 12345.0)
+        assert np.array_equal(rf.poles(), build().poles())
+        assert _settled(lambda: rf) == _settled(build)

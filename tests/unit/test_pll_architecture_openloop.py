@@ -1,5 +1,8 @@
 """Tests for repro.pll.architecture and repro.pll.openloop."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,22 @@ class TestPLL:
         pll = make_pll()
         s = 0.3j
         assert pll.h_lf(s) == pytest.approx(1e-3 * pll.filter_impedance(s))
+
+    def test_h_lf_is_built_once(self):
+        pll = make_pll()
+        assert pll.h_lf is pll.h_lf
+
+    def test_h_lf_cache_leaves_equality_hash_and_pickle_alone(self):
+        pll = make_pll()
+        twin = copy.copy(pll)
+        pickled, hashed = pickle.dumps(pll), hash(pll)
+        pll.h_lf
+        assert pickle.dumps(pll) == pickled
+        assert hash(pll) == hashed
+        assert pll == twin and twin == pll
+        clone = pickle.loads(pickled)
+        assert "h_lf" not in vars(clone)
+        assert clone.h_lf(0.3j) == pll.h_lf(0.3j)
 
     def test_fundamental_mismatch_rejected(self):
         filt = SeriesRCShuntCFilter.from_pole_zero(0.1 * W0, 1.6 * W0, 1e-3)
