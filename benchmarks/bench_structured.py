@@ -10,10 +10,10 @@ Evaluates the closed-loop operator ``(I + G)^{-1} G`` of a typical loop
   structure of the sampled loop closes through the Sherman-Morrison
   scalar formula, O(N) per point, and densifies only at the end.
 
-The bench asserts the two stacks agree (the oracle is an independent
-code path — :meth:`FeedbackOperator._dense_grid` never routes through
-the structured kernels) and reports the speedup plus the structure tag
-the evaluation produced.  ``main()`` prints a human summary and one
+The bench asserts the two stacks agree (the closures are independent:
+:meth:`FeedbackOperator._dense_grid` solves the stacked system instead of
+the SMW scalar, on the densified open-loop stack) and reports the speedup
+plus the structure tag the evaluation produced.  ``main()`` prints a human summary and one
 machine-readable JSON line (``kind: "bench_structured"``) for the
 ``repro bench compare`` gate, like the sibling benches.
 """

@@ -23,7 +23,7 @@ The contract is strict — the scalar adapter is the correctness oracle:
   a batch bug degrades performance, never correctness.
 
 Points are grouped internally by the parameters that shape the evaluation
-(grid bounds, point counts, order, backend); a batch mixing shapes simply
+(grid bounds, point counts, order); a batch mixing shapes simply
 produces several smaller stacks.
 """
 
@@ -35,7 +35,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.campaign.tasks import (
-    _task_backend,
     design_from_params,
     register_batch_task,
 )
@@ -71,7 +70,7 @@ def _margins_metrics(margins) -> dict[str, float]:
 @register_batch_task("margins")
 def margins_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Exception]:
     """Vectorized `margins`: one :func:`~repro.pll.margins.compare_margins_batch`
-    call per group of points sharing ``(omega0, points, backend)``.
+    call per group of points sharing ``(omega0, points)``.
 
     The scalar adapter's :func:`~repro.pll.margins.compare_margins` is the
     one-row case of the same function, and a row's result does not depend
@@ -86,7 +85,6 @@ def margins_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Except
         lambda p: (
             float(p.get("omega0", 2 * math.pi)),
             int(p.get("points", 4000)),
-            p.get("backend"),
         ),
     )
     for indices in groups.values():
@@ -95,15 +93,13 @@ def margins_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Except
         live: list[int] = []
         for i in indices:
             try:
-                with _task_backend(batch[i]):
-                    plls.append(design_from_params(batch[i]))
+                plls.append(design_from_params(batch[i]))
                 live.append(i)
             except Exception as exc:
                 results[i] = exc
         if not plls:
             continue
-        with _task_backend(batch[live[0]]):
-            outcomes = compare_margins_batch(plls, points=points)
+        outcomes = compare_margins_batch(plls, points=points)
         for i, outcome in zip(live, outcomes):
             results[i] = (
                 outcome if isinstance(outcome, Exception) else _margins_metrics(outcome)
@@ -143,15 +139,14 @@ def band_map_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] | Excep
         live: list[int] = []
         for i in indices:
             try:
-                with _task_backend(batch[i]):
-                    pll = design_from_params(batch[i])
-                    if grid is None:
-                        grid = FrequencyGrid.baseband(pll.omega0, points=points)
-                    maps.append(
-                        band_transfer_map(
-                            FeedbackOperator(open_loop_operator(pll)), grid, order
-                        )
+                pll = design_from_params(batch[i])
+                if grid is None:
+                    grid = FrequencyGrid.baseband(pll.omega0, points=points)
+                maps.append(
+                    band_transfer_map(
+                        FeedbackOperator(open_loop_operator(pll)), grid, order
                     )
+                )
                 live.append(i)
             except Exception as exc:
                 results[i] = exc
@@ -193,7 +188,6 @@ def stability_cell_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] |
         lambda p: (
             float(p.get("omega0", 2 * math.pi)),
             int(p.get("points", 2000)),
-            p.get("backend"),
         ),
     )
     for indices in groups.values():
@@ -203,28 +197,26 @@ def stability_cell_batch(batch: list[dict[str, Any]]) -> list[dict[str, float] |
         live: list[int] = []
         for i in indices:
             try:
-                with _task_backend(batch[i]):
-                    pll = design_from_params(batch[i])
-                    closed = closed_loop_z(sampled_open_loop(pll))
-                    poles = closed.poles()
-                    radius = float(np.max(np.abs(poles))) if poles.size else 0.0
-                    partial.append(
-                        {
-                            "z_stable": 1.0 if closed.is_stable() else 0.0,
-                            "z_pole_radius": radius,
-                            "lti_phase_margin_deg": shape_phase_margin_deg(
-                                float(batch[i].get("separation", 4.0))
-                            ),
-                        }
-                    )
-                    plls.append(pll)
+                pll = design_from_params(batch[i])
+                closed = closed_loop_z(sampled_open_loop(pll))
+                poles = closed.poles()
+                radius = float(np.max(np.abs(poles))) if poles.size else 0.0
+                partial.append(
+                    {
+                        "z_stable": 1.0 if closed.is_stable() else 0.0,
+                        "z_pole_radius": radius,
+                        "lti_phase_margin_deg": shape_phase_margin_deg(
+                            float(batch[i].get("separation", 4.0))
+                        ),
+                    }
+                )
+                plls.append(pll)
                 live.append(i)
             except Exception as exc:
                 results[i] = exc
         if not plls:
             continue
-        with _task_backend(batch[live[0]]):
-            outcomes = compare_margins_batch(plls, points=points)
+        outcomes = compare_margins_batch(plls, points=points)
         for row, i in enumerate(live):
             out = dict(partial[row])
             outcome = outcomes[row]

@@ -26,32 +26,29 @@ Evaluation comes in three flavours:
   banded / rank-one / dense) and composites compose the *tags* symbolically
   — a rank-one loop's feedback closure runs through the paper's SMW scalar
   denominator instead of a stacked solve — closing to numbers only at the
-  terminal call, through a pluggable compute backend
-  (:mod:`repro.core.backend`).
-* :meth:`HarmonicOperator.dense_grid` — the batched **dense oracle**: a
-  ``(len(s), 2K+1, 2K+1)`` stack built by brute-force composition
-  (feedback really solves the stacked system).  The property suite asserts
-  ``evaluate(...).to_dense()`` against it.
+  terminal call.
+* :meth:`HarmonicOperator.dense_grid` — the batched dense stack
+  ``(len(s), 2K+1, 2K+1)``.  Primitives and series/parallel/scaled nodes
+  densify their structured kernel; feedback really solves the stacked
+  system.  The property suite builds its own dense reference from the
+  primitives' stacks and asserts ``evaluate(...).to_dense()`` against it.
 * :meth:`HarmonicOperator.dense` — one dense matrix at one scalar ``s``,
   delegated to the grid path via a one-point grid (cache-bypassed).
 
 Grid results are memoized per operator node in
 :data:`repro.core.memo.grid_cache` — structured and dense blocks under
 separate cache flavors — and returned **read-only**; ``.copy()`` before
-mutating.  Subclasses implement :meth:`_structured_grid`; overriding
-:meth:`_dense_grid` directly still works but is deprecated.
+mutating.  Subclasses implement :meth:`_structured_grid`.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
 
 import numpy as np
 
 from repro._errors import ValidationError
 from repro._validation import check_order, check_positive
-from repro.core.backend import ComputeBackend, resolve_backend
 from repro.core.grid import as_s_grid
 from repro.core.htm import HTM
 from repro.core.memo import bypass as memo_bypass
@@ -69,30 +66,13 @@ def default_element_order(n: int, m: int) -> int:
     ``max(|n|, |m|, 1)`` — never less than 1, so feedback closures are never
     silently evaluated on a degenerate 1x1 truncation.  This is the one rule
     used by both :meth:`HarmonicOperator.element` and
-    :func:`repro.core.sweep.sweep_element`; the historical
-    ``max(|n|, |m|)`` default of ``element`` (order 0 for the baseband
-    element) is deprecated.
+    :func:`repro.core.sweep.sweep_element`.
     """
     return max(abs(n), abs(m), 1)
 
 
-#: Classes already warned about their legacy ``_dense_grid`` override.
-_LEGACY_DENSE_GRID_WARNED: set[type] = set()
-
-
-def _warn_legacy_dense_grid(cls: type) -> None:
-    """One DeprecationWarning per class for direct ``_dense_grid`` overrides."""
-    if cls in _LEGACY_DENSE_GRID_WARNED:
-        return
-    _LEGACY_DENSE_GRID_WARNED.add(cls)
-    warnings.warn(
-        f"{cls.__name__} overrides _dense_grid directly; implement the "
-        "structured protocol (_structured_grid) instead — dense-only "
-        "operators keep working, wrapped as kind='dense', but forgo "
-        "structure-aware composition and backend kernels",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: Memo flavor of structured grids, kept apart from the dense stacks.
+_STRUCTURED = ("structured",)
 
 
 class HarmonicOperator(ABC):
@@ -113,9 +93,7 @@ class HarmonicOperator(ABC):
 
     # -- structured evaluation ---------------------------------------------------
 
-    def evaluate(
-        self, s, order: int, backend: str | ComputeBackend | None = None
-    ) -> StructuredGrid:
+    def evaluate(self, s, order: int) -> StructuredGrid:
         """Structure-tagged lazy evaluation over a grid — the preferred API.
 
         ``s`` may be a :class:`~repro.core.grid.FrequencyGrid` (evaluated on
@@ -125,69 +103,26 @@ class HarmonicOperator(ABC):
         compose tags symbolically and numbers are only materialised by
         ``.to_dense()`` or a genuinely dense fallback.
 
-        ``backend`` selects the terminal-closure kernels (name, instance, or
-        ``None`` for the scoped/env/default resolution of
-        :func:`repro.core.backend.resolve_backend`).  Results are memoized
-        per operator node under a ``("structured", backend)`` cache flavor,
-        separate from the dense-oracle blocks, and are immutable.
+        Results are memoized per operator node under a ``("structured",)``
+        cache flavor, separate from the dense blocks, and are immutable.
         """
         s_arr = as_s_grid("s", s)
         order = check_order("order", order, minimum=0)
-        bk = resolve_backend(backend)
-
-        def compute(sa: np.ndarray, od: int) -> StructuredGrid:
-            return self._structured_kernel(sa, od, bk)
-
-        flavor = ("structured", bk.name)
         if obs.enabled():
             with obs.span(
                 "core.evaluate",
                 op=type(self).__name__,
                 points=int(s_arr.size),
                 order=int(order),
-                backend=bk.name,
             ):
-                return grid_cache.fetch(self, s_arr, order, compute, flavor=flavor)
-        return grid_cache.fetch(self, s_arr, order, compute, flavor=flavor)
+                return grid_cache.fetch(
+                    self, s_arr, order, self._structured_grid, flavor=_STRUCTURED
+                )
+        return grid_cache.fetch(self, s_arr, order, self._structured_grid, flavor=_STRUCTURED)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        """Structure-tagged kernel behind :meth:`evaluate` — override this.
-
-        The base class raises; :meth:`_structured_kernel` falls back to
-        wrapping a legacy ``_dense_grid`` / ``dense`` override as a dense
-        structured grid.
-        """
-        raise NotImplementedError
-
-    def _structured_kernel(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        """Dispatch to the best available kernel for this class.
-
-        Preference order: the structured protocol, then a legacy
-        ``_dense_grid`` override (deprecation-warned once per class), then a
-        scalar ``dense`` override looped over the grid.
-        """
-        cls = type(self)
-        if cls._structured_grid is not HarmonicOperator._structured_grid:
-            return self._structured_grid(s_arr, order, backend)
-        if cls._dense_grid is not HarmonicOperator._dense_grid:
-            _warn_legacy_dense_grid(cls)
-            return StructuredGrid.dense(
-                self._dense_grid(s_arr, order), order=order, backend=backend
-            )
-        if cls.dense is not HarmonicOperator.dense:
-            size = 2 * order + 1
-            out = np.empty((s_arr.size, size, size), dtype=complex)
-            for i, si in enumerate(s_arr):
-                out[i] = self.dense(complex(si), order)
-            return StructuredGrid.dense(out, order=order, backend=backend)
-        raise TypeError(
-            f"{cls.__name__} implements none of _structured_grid, _dense_grid "
-            "or dense"
-        )
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        """Structure-tagged kernel behind :meth:`evaluate` — subclasses implement it."""
+        raise TypeError(f"{type(self).__name__} does not implement _structured_grid")
 
     # -- dense evaluation (oracle path) -------------------------------------------
 
@@ -206,10 +141,9 @@ class HarmonicOperator(ABC):
     def dense_grid(self, s, order: int) -> np.ndarray:
         """Batched dense HTM stack ``(len(s), 2*order+1, 2*order+1)``.
 
-        This is the brute-force **oracle** path: composites really multiply
-        / add / solve stacked matrices, independent of the structured
-        algebra behind :meth:`evaluate` — which is what makes
-        structured-vs-dense equivalence assertions meaningful.  Results are
+        Each node densifies its structured kernel, except
+        :class:`FeedbackOperator`, which solves the stacked system
+        ``(I + G)^{-1} G`` on its open loop's dense stack.  Results are
         memoized per operator node (see :mod:`repro.core.memo`) and are
         **read-only**; ``.copy()`` before mutating.
         """
@@ -235,15 +169,10 @@ class HarmonicOperator(ABC):
     def _dense_grid(self, s_arr: np.ndarray, order: int) -> np.ndarray:
         """Vectorized dense kernel behind :meth:`dense_grid`.
 
-        The base implementation densifies the structured kernel.
-        Overriding this directly is deprecated (implement
-        :meth:`_structured_grid`); :class:`FeedbackOperator` keeps an
-        explicit override so the dense path stays a genuinely independent
-        stacked solve.
+        The base implementation densifies the structured kernel;
+        :class:`FeedbackOperator` overrides it with the stacked solve.
         """
-        return np.asarray(
-            self._structured_kernel(s_arr, order, resolve_backend(None)).to_dense()
-        )
+        return np.asarray(self._structured_grid(s_arr, order).to_dense())
 
     def fingerprint(self) -> tuple:
         """Hashable, id-stable structural key for grid memoization.
@@ -266,21 +195,10 @@ class HarmonicOperator(ABC):
         """Single HTM element ``H_{n,m}(s)``.
 
         ``order`` defaults to the canonical rule ``max(|n|, |m|, 1)`` (see
-        :func:`default_element_order`).  The historical default
-        ``max(|n|, |m|)`` — which evaluated the baseband element on a
-        degenerate order-0 truncation — is deprecated; a warning is emitted
-        in the only case where the two rules differ (``n == m == 0``).
+        :func:`default_element_order`); pass ``order=0`` explicitly for the
+        degenerate 1x1 truncation.
         """
         if order is None:
-            if n == 0 and m == 0:
-                warnings.warn(
-                    "element(s, 0, 0) now defaults to truncation order 1 "
-                    "(canonical rule max(|n|, |m|, 1)); the old order-0 "
-                    "default is deprecated — pass order=0 explicitly if the "
-                    "degenerate 1x1 truncation is really wanted",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
             order = default_element_order(n, m)
         return self.htm(s, order).element(n, m)
 
@@ -323,14 +241,10 @@ class HarmonicOperator(ABC):
 class IdentityOperator(HarmonicOperator):
     """The identity system ``y = u``."""
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         ones = np.ones(2 * order + 1, dtype=complex)
         return StructuredGrid.diagonal(
-            np.broadcast_to(ones, (s_arr.size, ones.size)),
-            order=order,
-            backend=backend,
+            np.broadcast_to(ones, (s_arr.size, ones.size)), order=order
         )
 
     def fingerprint(self) -> tuple:
@@ -379,12 +293,10 @@ class LTIOperator(HarmonicOperator):
         )
         return flat.reshape(s_grid.shape)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         n = np.arange(-order, order + 1)
         diag = self._transfer_values(s_arr[:, None] + 1j * self._omega0 * n[None, :])
-        return StructuredGrid.diagonal(diag, order=order, backend=backend)
+        return StructuredGrid.diagonal(diag, order=order)
 
     def fingerprint(self) -> tuple:
         return ("lti", self._omega0, _transfer_fingerprint(self.transfer))
@@ -397,9 +309,7 @@ class MultiplicationOperator(HarmonicOperator):
         super().__init__(series.omega0)
         self.series = series
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # The Toeplitz HTM is s-independent: one broadcast constant per
         # non-zero harmonic band, zero extra memory per grid point.
         size = 2 * order + 1
@@ -413,8 +323,8 @@ class MultiplicationOperator(HarmonicOperator):
             bands[k] = np.broadcast_to(np.asarray(pk), (s_arr.size, size))
         if not bands or set(bands) == {0}:
             diag = bands.get(0, np.zeros((s_arr.size, size), dtype=complex))
-            return StructuredGrid.diagonal(diag, order=order, backend=backend)
-        return StructuredGrid.banded(bands, order=order, backend=backend)
+            return StructuredGrid.diagonal(diag, order=order)
+        return StructuredGrid.banded(bands, order=order)
 
     def fingerprint(self) -> tuple:
         return ("mult", self._omega0, self.series.coefficients.tobytes())
@@ -443,9 +353,7 @@ class SamplingOperator(HarmonicOperator):
         """The rank-one row factor: ``exp(-j m w0 offset)`` per input harmonic."""
         return np.conj(self.column_vector(order))
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # s-independent rank one: the gain folds into the column factor and
         # both factors broadcast (zero-copy) over the grid.
         gain = self._omega0 / (2 * np.pi)
@@ -455,7 +363,6 @@ class SamplingOperator(HarmonicOperator):
             np.broadcast_to(column, (s_arr.size, column.size)),
             np.broadcast_to(row, (s_arr.size, row.size)),
             order=order,
-            backend=backend,
         )
 
     def fingerprint(self) -> tuple:
@@ -480,18 +387,14 @@ class IsfIntegrationOperator(HarmonicOperator):
         coeffs = series.coefficients
         return np.flatnonzero(coeffs) - series.order
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         size = 2 * order + 1
         n = np.arange(-order, order + 1)
         denom = s_arr[:, None] + 1j * n[None, :] * self._omega0  # (L, N)
         offsets = [int(k) for k in self._nonzero_offsets() if abs(int(k)) <= size - 1]
         if not offsets:
             return StructuredGrid.diagonal(
-                np.zeros((s_arr.size, size), dtype=complex),
-                order=order,
-                backend=backend,
+                np.zeros((s_arr.size, size), dtype=complex), order=order
             )
         # One band per non-zero ISF harmonic; rows whose column index falls
         # outside the truncation stay exact zeros and are never divided, so
@@ -507,8 +410,8 @@ class IsfIntegrationOperator(HarmonicOperator):
                     val[:, rows] = vk / denom[:, rows]
                 bands[k] = val
         if set(bands) == {0}:
-            return StructuredGrid.diagonal(bands[0], order=order, backend=backend)
-        return StructuredGrid.banded(bands, order=order, backend=backend)
+            return StructuredGrid.diagonal(bands[0], order=order)
+        return StructuredGrid.banded(bands, order=order)
 
     def fingerprint(self) -> tuple:
         return ("isf", self._omega0, self.isf.series.coefficients.tobytes())
@@ -523,15 +426,11 @@ class SeriesOperator(HarmonicOperator):
         self.second = second
         self.first = first
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
         # Structure composes symbolically: diagonal x diagonal stays an
         # elementwise product, anything x rank-one stays factored, and only
         # genuinely dense pairs fall back to a stacked matmul.
-        return self.second.evaluate(s_arr, order, backend=backend) @ self.first.evaluate(
-            s_arr, order, backend=backend
-        )
+        return self.second.evaluate(s_arr, order) @ self.first.evaluate(s_arr, order)
 
     def fingerprint(self) -> tuple:
         return ("series", self.second.fingerprint(), self.first.fingerprint())
@@ -546,12 +445,8 @@ class ParallelOperator(HarmonicOperator):
         self.left = left
         self.right = right
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.left.evaluate(s_arr, order, backend=backend) + self.right.evaluate(
-            s_arr, order, backend=backend
-        )
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.left.evaluate(s_arr, order) + self.right.evaluate(s_arr, order)
 
     def fingerprint(self) -> tuple:
         return ("parallel", self.left.fingerprint(), self.right.fingerprint())
@@ -565,10 +460,8 @@ class ScaledOperator(HarmonicOperator):
         self.inner = inner
         self.scalar = complex(scalar)
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.inner.evaluate(s_arr, order, backend=backend).scale(self.scalar)
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.inner.evaluate(s_arr, order).scale(self.scalar)
 
     def fingerprint(self) -> tuple:
         return ("scaled", self.scalar, self.inner.fingerprint())
@@ -592,10 +485,8 @@ class FeedbackOperator(HarmonicOperator):
         super().__init__(open_loop.omega0)
         self.open_loop = open_loop
 
-    def _structured_grid(
-        self, s_arr: np.ndarray, order: int, backend: ComputeBackend
-    ) -> StructuredGrid:
-        return self.open_loop.evaluate(s_arr, order, backend=backend).feedback()
+    def _structured_grid(self, s_arr: np.ndarray, order: int) -> StructuredGrid:
+        return self.open_loop.evaluate(s_arr, order).feedback()
 
     def _dense_grid(self, s_arr: np.ndarray, order: int) -> np.ndarray:
         g = self.open_loop.dense_grid(s_arr, order)

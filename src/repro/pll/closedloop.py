@@ -54,11 +54,6 @@ class ClosedLoopHTM:
         delay or sampling offset force ``'truncated'``.
     harmonics:
         Truncation half-width M for ``method='truncated'``.
-    backend:
-        Compute backend (name or instance) for structured grid evaluations
-        (:meth:`structured_reference_grid`); ``None`` uses the scoped /
-        ``REPRO_BACKEND`` / numpy resolution of
-        :func:`repro.core.backend.resolve_backend`.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class ClosedLoopHTM:
         pll: PLL,
         method: str = "closed",
         harmonics: int = 64,
-        backend: str | None = None,
     ):
         if method not in ("closed", "truncated"):
             raise ValidationError(f"method must be 'closed' or 'truncated', got {method!r}")
@@ -85,7 +79,6 @@ class ClosedLoopHTM:
             )
         self.pll = pll
         self.method = method
-        self.backend = backend
         self.harmonics = check_order("harmonics", harmonics, minimum=1)
         self._gain = pll.pfd.gain  # w0 / 2pi
         self._h_lf = pll.h_lf
@@ -364,41 +357,7 @@ class ClosedLoopHTM:
         This is the expensive path the paper's rank-one closed form avoids;
         kept as the validation oracle (ablation A2).
         """
-        return self._reference_operator().htm(s, order)
-
-    def dense_reference_grid(
-        self, s: FrequencyGrid | np.ndarray, order: int
-    ) -> np.ndarray:
-        """Batched dense closure: ``(len(s), 2*order+1, 2*order+1)`` stack.
-
-        The grid-parallel form of :meth:`dense_reference`, evaluated through
-        the vectorized operator stack (and the grid memoization layer).  The
-        returned stack is read-only; ``.copy()`` before mutating.
-        """
-        return self._reference_operator().dense_grid(s, order)
-
-    def structured_reference_grid(self, s: FrequencyGrid | np.ndarray, order: int):
-        """Structure-tagged closed-loop grid — the fast reference path.
-
-        Evaluates the same eq.-(28) operator as :meth:`dense_reference_grid`
-        through :meth:`~repro.core.operators.HarmonicOperator.evaluate`:
-        the rank-one sampling loop composes symbolically and closes via the
-        SMW scalar denominator (O(N) per point) instead of the stacked dense
-        solve.  Returns a :class:`~repro.core.structured.StructuredGrid`;
-        call ``.to_dense()`` or ``.element_grid(n, m)`` to get numbers.
-
-        Uses the instance's ``backend`` (constructor argument) to pick the
-        terminal-closure kernels.
-        """
-        return self._reference_operator().evaluate(s, order, backend=self.backend)
-
-    def _reference_operator(self) -> FeedbackOperator:
-        """The (cached) brute-force closed-loop operator of eq. (28)."""
-        op = getattr(self, "_reference_op", None)
-        if op is None:
-            op = FeedbackOperator(open_loop_operator(self.pll))
-            self._reference_op = op
-        return op
+        return FeedbackOperator(open_loop_operator(self.pll)).htm(s, order)
 
     def __repr__(self) -> str:
         return (

@@ -96,7 +96,6 @@ def compare_margins(
     omega_max_factor: float | None = None,
     points: int = 4000,
     grid: FrequencyGrid | None = None,
-    backend: str | None = None,
     **closed_loop_kwargs,
 ) -> EffectiveMargins:
     """Measure LTI and effective margins of one loop design.
@@ -110,7 +109,6 @@ def compare_margins(
         omega_max_factor,
         points,
         grid=grid,
-        backend=backend,
         **closed_loop_kwargs,
     )[0]
     if isinstance(outcome, Exception):
@@ -142,7 +140,6 @@ def compare_margins_batch(
     omega_max_factor: float | None = None,
     points: int = 4000,
     grid: FrequencyGrid | None = None,
-    backend: str | None = None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins | Exception]:
     """LTI and effective margins of many loop designs, one slot per design.
@@ -152,8 +149,6 @@ def compare_margins_batch(
     w0`` (default just below the ``w0/2`` alias symmetry point, beyond
     which lambda repeats).  Passing a :class:`~repro.core.grid.FrequencyGrid`
     instead pins the scan to that grid's bounds and point count.
-    ``backend`` selects the compute backend for any structured grid
-    evaluation underneath (forwarded to :class:`ClosedLoopHTM`).
 
     Each design's ``A(j omega)`` and ``lambda(j omega)`` are evaluated once
     on the log scan grid.  Designs sharing a scan window are stacked into
@@ -168,8 +163,6 @@ def compare_margins_batch(
     exception (``ConvergenceError``, ``ValidationError``, ...) that
     :func:`compare_margins` raises for it, and the other slots complete.
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
     if grid is not None:
         points = len(grid)
     windows = [_scan_window(pll, omega_min_factor, omega_max_factor, grid) for pll in plls]
@@ -237,7 +230,6 @@ def margin_sweep(
     ratios: Sequence[float] | np.ndarray,
     designer: Callable[[float], PLL],
     points: int = 3000,
-    backend: str | None = None,
     **closed_loop_kwargs,
 ) -> list[EffectiveMargins]:
     """Sweep ``w_UG / w0`` and collect margins — the Fig. 7 data series.
@@ -250,14 +242,10 @@ def margin_sweep(
         Callable mapping a ratio to a :class:`PLL` (typically
         :func:`repro.pll.design.design_typical_loop` with everything else
         fixed).
-    backend:
-        Compute backend forwarded to :func:`compare_margins_batch`.
 
     All designs go through one :func:`compare_margins_batch` call; the
     first failing design's exception is raised.
     """
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
     plls = []
     for ratio in np.asarray(ratios, dtype=float):
         if not 0.0 < ratio < 0.5:

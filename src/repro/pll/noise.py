@@ -32,15 +32,9 @@ from repro.pll.closedloop import ClosedLoopHTM
 
 
 class NoiseAnalysis:
-    """Output phase-noise composition of a locked PLL.
+    """Output phase-noise composition of a locked PLL."""
 
-    ``backend`` selects the compute backend for structured grid evaluations
-    underneath (forwarded to :class:`~repro.pll.closedloop.ClosedLoopHTM`).
-    """
-
-    def __init__(self, pll: PLL, backend: str | None = None, **closed_loop_kwargs):
-        if backend is not None:
-            closed_loop_kwargs.setdefault("backend", backend)
+    def __init__(self, pll: PLL, **closed_loop_kwargs):
         self.pll = pll
         self.closed_loop = ClosedLoopHTM(pll, **closed_loop_kwargs)
 

@@ -146,26 +146,17 @@ def _metrics_task(
     parameter_name: str,
     designer: Callable[[float], PLL],
     metrics: Mapping[str, Callable[[PLL], float]],
-    backend: str | None = None,
 ) -> Callable[[dict[str, Any]], dict[str, float]]:
-    """Adapt (designer, metrics) into a campaign task with NaN-safety.
-
-    ``backend`` (or a per-point ``backend`` parameter) installs a scoped
-    compute-backend default around the whole point evaluation, so every
-    structured grid evaluation inside the metric callables picks it up
-    without explicit threading.
-    """
-    from repro.core.backend import backend_scope
+    """Adapt (designer, metrics) into a campaign task with NaN-safety."""
 
     def task(params: dict[str, Any]) -> dict[str, float]:
-        with backend_scope(params.get("backend", backend)):
-            pll = designer(float(params[parameter_name]))
-            out: dict[str, float] = {}
-            for name, fn in metrics.items():
-                try:
-                    out[name] = float(fn(pll))
-                except Exception:
-                    out[name] = float("nan")
+        pll = designer(float(params[parameter_name]))
+        out: dict[str, float] = {}
+        for name, fn in metrics.items():
+            try:
+                out[name] = float(fn(pll))
+            except Exception:
+                out[name] = float("nan")
         return out
 
     return task
@@ -179,7 +170,6 @@ def sweep(
     *,
     workers: int = 1,
     store_path: str | Path | None = None,
-    backend: str | None = None,
     **campaign_kwargs: Any,
 ) -> SweepResult:
     """Evaluate named metrics over designs produced by ``designer``.
@@ -194,8 +184,7 @@ def sweep(
     ``metrics`` — module-level functions), ``store_path=`` for a resumable
     JSONL result store, and any other :class:`repro.campaign.
     ExecutionPolicy` field (``timeout=``, ``retries=``...) as keyword
-    arguments.  ``backend`` installs a scoped compute-backend default
-    around every point evaluation (each pool worker re-installs it).
+    arguments.
     """
     from repro.campaign import CampaignSpec, ListSpace, run_campaign
 
@@ -207,7 +196,7 @@ def sweep(
     spec = CampaignSpec.create(
         name=f"sweep:{parameter_name}",
         space=ListSpace.of([{parameter_name: float(v)} for v in values_arr]),
-        task=_metrics_task(parameter_name, designer, metrics, backend=backend),
+        task=_metrics_task(parameter_name, designer, metrics),
     )
     result = run_campaign(
         spec, store_path, workers=workers, **campaign_kwargs
@@ -233,7 +222,6 @@ def closed_loop_response_surface(
     values: Sequence[float],
     designer: Callable[[float], PLL],
     grid: FrequencyGrid,
-    backend: str | None = None,
     **closed_loop_kwargs,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Baseband ``H00(j omega)`` over a (design, frequency) product grid.
@@ -241,8 +229,7 @@ def closed_loop_response_surface(
     For each design produced by ``designer`` the whole frequency row is
     evaluated in one batched :meth:`~repro.pll.closedloop.ClosedLoopHTM.
     frequency_response` call, so the cost is one grid evaluation per design
-    rather than ``len(grid)`` scalar closures.  ``backend`` is forwarded to
-    each :class:`ClosedLoopHTM`.
+    rather than ``len(grid)`` scalar closures.
 
     Returns
     -------
@@ -251,9 +238,6 @@ def closed_loop_response_surface(
         shape ``(len(values), len(grid))``.
     """
     from repro.pll.closedloop import ClosedLoopHTM
-
-    if backend is not None:
-        closed_loop_kwargs.setdefault("backend", backend)
 
     if not isinstance(grid, FrequencyGrid):
         raise ValidationError(

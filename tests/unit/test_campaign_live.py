@@ -286,6 +286,41 @@ class TestManifestOnResume:
             obs_manifest.manifest_path(store)
         )["runs"] == 2
 
+    def test_store_with_legacy_backend_key_resumes_cleanly(self, tmp_path):
+        """Older stores recorded a compute-backend name in the spec defaults
+        and the manifest; they resume without drift and with the numbers of
+        the same spec without the key."""
+        space = ListSpace.of([{"ratio": r} for r in (0.05, 0.1, 0.15)])
+
+        def margins_spec(**extra):
+            return CampaignSpec.create(
+                name="legacy", space=space, task="margins",
+                defaults={"points": 400, **extra},
+            )
+
+        store = tmp_path / "legacy.jsonl"
+        run_campaign(margins_spec(backend="numpy"), store)
+        mpath = obs_manifest.manifest_path(store)
+        manifest = obs_manifest.load_manifest(mpath)
+        manifest["backend"] = "numpy"
+        obs_manifest.write_manifest(mpath, manifest)
+        lines = store.read_text().splitlines()
+        points = [line for line in lines if '"kind":"point"' in line]
+        store.write_text("\n".join([lines[0]] + points[:1]) + "\n")
+
+        resumed = resume_campaign(store)
+        t = resumed.telemetry
+        assert t.skipped == 1 and t.done == 2
+        assert not [n for n in t.notes if "manifest mismatch" in n]
+        assert not [
+            e for e in _event_names(t) if e.startswith("campaign.manifest_mismatch")
+        ]
+        plain = run_campaign(margins_spec(), tmp_path / "plain.jsonl")
+        assert all(r["status"] == "ok" for r in resumed.records)
+        assert [r["metrics"] for r in resumed.records] == [
+            r["metrics"] for r in plain.records
+        ]
+
 
 _KILL_CHILD = """
 import sys, time

@@ -230,16 +230,18 @@ class TestDefaultOrderUnification:
         assert default_element_order(-1, 0) == 1
 
     def test_element_warns_only_in_divergent_case(self):
-        op = IdentityOperator(W0)
-        with pytest.warns(DeprecationWarning):
-            value = op.element(0.5j, 0, 0)
-        assert value == pytest.approx(1.0)
+        """The baseband element defaults to order 1, without a warning."""
         import warnings
 
+        op = IdentityOperator(W0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            op.element(0.5j, 1, 0)  # rule unchanged for |n| or |m| >= 1
-            op.element(0.5j, 0, 0, order=0)  # explicit order never warns
+            value = op.element(0.5j, 0, 0)
+            op.element(0.5j, 1, 0)
+            explicit = op.element(0.5j, 0, 0, order=0)  # degenerate 1x1 truncation
+        assert value == pytest.approx(1.0)
+        assert value == op.element(0.5j, 0, 0, order=default_element_order(0, 0))
+        assert explicit == pytest.approx(1.0)
 
     def test_element_and_sweep_element_agree(self):
         op = _loop_operator()

@@ -326,13 +326,14 @@ def test_is_periodic_check_structured_result():
 
 def test_dense_grid_nonfinite_guard():
     from repro.core.operators import HarmonicOperator
+    from repro.core.structured import StructuredGrid
 
     class PoisonedOperator(HarmonicOperator):
-        def dense(self, s, order):
+        def _structured_grid(self, s_arr, order):
             n = 2 * order + 1
-            out = np.zeros((n, n), dtype=complex)
-            out[0, 0] = np.nan
-            return out
+            out = np.zeros((s_arr.size, n, n), dtype=complex)
+            out[:, 0, 0] = np.nan
+            return StructuredGrid.dense(out, order=order)
 
         def fingerprint(self):
             return ("poisoned", id(self))
@@ -346,13 +347,14 @@ def test_dense_grid_nonfinite_guard():
 
 def test_feedback_condition_sentinel():
     from repro.core.operators import FeedbackOperator, HarmonicOperator
+    from repro.core.structured import StructuredGrid
 
     class IllConditioned(HarmonicOperator):
-        def dense(self, s, order):
+        def _structured_grid(self, s_arr, order):
             n = 2 * order + 1
-            out = np.zeros((n, n), dtype=complex)
-            out[0, -1] = 1e15
-            return out
+            out = np.zeros((s_arr.size, n, n), dtype=complex)
+            out[:, 0, -1] = 1e15
+            return StructuredGrid.dense(out, order=order)
 
         def fingerprint(self):
             return ("ill", id(self))

@@ -1,14 +1,12 @@
 """Structured lazy-evaluation layer: kind algebra, caching, and the
-legacy-override compatibility/deprecation contract of ``evaluate()``.
+subclass contract of ``evaluate()``.
 
 The arithmetic itself is cross-checked against the dense oracle by
 ``tests/property/test_prop_structured.py``; this module pins the *shape*
 of the API — which structure tag each composition produces, how the memo
-separates the two evaluation flavors, and how subclasses written against
-the old ``_dense_grid``/``dense`` protocols keep working.
+separates the two evaluation flavors, and that an operator without a
+``_structured_grid`` kernel fails loudly.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -132,7 +130,7 @@ class TestMemoFlavors:
         assert stats["misses"] == 2  # one entry per flavor, no cross-hit
         np.testing.assert_allclose(np.asarray(structured.to_dense()), dense)
 
-    def test_structured_entries_hit_per_backend(self):
+    def test_structured_entries_hit(self):
         op = _lti()
         first = op.evaluate(S, 2)
         again = op.evaluate(S, 2)
@@ -152,56 +150,12 @@ class TestMemoFlavors:
         out[0, 0] = 123.0  # fresh copy, not a frozen cache entry
 
 
-class _LegacyDenseGridOperator(HarmonicOperator):
-    """Pre-refactor style: overrides ``_dense_grid`` directly."""
-
-    def _dense_grid(self, s_arr, order):
-        size = 2 * order + 1
-        out = np.zeros((s_arr.size, size, size), dtype=complex)
-        idx = np.arange(size)
-        out[:, idx, idx] = s_arr[:, None]
-        return out
-
-    def fingerprint(self):
-        return (type(self).__name__, self._omega0)
-
-
-class _LegacyScalarOperator(HarmonicOperator):
-    """Oldest style: only the scalar ``dense`` protocol."""
-
-    def dense(self, s, order):
-        size = 2 * order + 1
-        return np.eye(size, dtype=complex) * s
-
-    def fingerprint(self):
-        return (type(self).__name__, self._omega0)
-
-
 class _NoKernelOperator(HarmonicOperator):
     def fingerprint(self):
         return (type(self).__name__, self._omega0)
 
 
 class TestLegacyOverrides:
-    def test_legacy_dense_grid_override_warns_once_per_class(self):
-        op = _LegacyDenseGridOperator(W0)
-        with pytest.warns(DeprecationWarning, match="_dense_grid"):
-            grid = op.evaluate(S, 1)
-        assert grid.kind == "dense"
-        np.testing.assert_allclose(
-            np.asarray(grid.to_dense()), op._dense_grid(S, 1)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid_cache.clear()
-            op.evaluate(S, 1)  # second evaluation: no second warning
-
-    def test_legacy_scalar_override_still_evaluates(self):
-        op = _LegacyScalarOperator(W0)
-        grid = op.evaluate(S, 1)
-        assert grid.kind == "dense"
-        np.testing.assert_allclose(grid.element_grid(0, 0), S)
-
     def test_no_kernel_raises_type_error(self):
         with pytest.raises(TypeError, match="_structured_grid"):
             _NoKernelOperator(W0).evaluate(S, 1)
