@@ -142,18 +142,12 @@ async def _drive(
     return latencies, errors
 
 
-def measure(
-    requests: int = 200, concurrency: int = 32, batch_window: float = 0.01
-) -> ServeBenchResult:
+def measure(requests: int = 200, concurrency: int = 32) -> ServeBenchResult:
     """Run the request mix against a fresh in-process server."""
 
     async def scenario() -> ServeBenchResult:
         server = AnalysisServer(
-            ServerConfig(
-                port=0,
-                batch_window=batch_window,
-                max_inflight=max(2 * concurrency, 64),
-            )
+            ServerConfig(port=0, max_inflight=max(2 * concurrency, 64))
         )
         await server.start()
         try:

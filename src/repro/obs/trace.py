@@ -384,7 +384,7 @@ def load_store_events(store_path: str | Path) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 #: Maps span-event names onto critical-path buckets.  ``queue`` is time spent
-#: waiting (batch window, idle lease workers), ``evaluate`` is HTM work,
+#: waiting (behind a batch, idle lease workers), ``evaluate`` is HTM work,
 #: ``spill`` is the job handoff to a campaign store, ``lease_reclaim`` is
 #: distributed-coordination overhead.
 CRITICAL_PATH_BUCKETS: dict[str, tuple[str, ...]] = {

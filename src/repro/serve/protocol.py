@@ -9,12 +9,12 @@ control flow:
   meaningful status (400 malformed request, 404 unknown route/job, 413
   oversized body, 429 admission backpressure, 503 feature disabled, 504
   deadline exceeded, 500 anything unexpected).
-* request parsing — :func:`parse_json_body`, :func:`design_params`,
-  :func:`grid_from_request`: JSON bodies carry a ``design`` parameter dict
-  (the same scalars the campaign task adapters accept) plus
-  endpoint-specific fields.  Design identity is the campaign point-id
-  scheme — :func:`design_fingerprint` is :func:`repro.campaign.spec.
-  point_id` (canonical-JSON blake2b), so a design hashes identically
+* request parsing — :func:`parse_json_body`, :func:`request_deadline`,
+  :func:`design_params`, :func:`grid_from_request`: JSON bodies carry a
+  ``design`` parameter dict (the same scalars the campaign task adapters
+  accept) plus endpoint-specific fields.  Design identity is the campaign
+  point-id scheme — :func:`design_fingerprint` is :func:`repro.campaign.
+  spec.point_id` (canonical-JSON blake2b), so a design hashes identically
   whether it arrives over HTTP or enumerates out of a campaign space.
 * response encoding — :func:`dumps_bytes`: JSON with **zero intermediate
   copies** for numpy arrays.  A C-contiguous float64 array is serialized
@@ -46,6 +46,7 @@ __all__ = [
     "error_body",
     "grid_from_request",
     "parse_json_body",
+    "request_deadline",
 ]
 
 #: Request-body cap: analysis requests are parameter dicts, never bulk
@@ -102,6 +103,30 @@ def parse_json_body(raw: bytes) -> dict[str, Any]:
             f"request body must be a JSON object, got {type(data).__name__}",
         )
     return data
+
+
+def request_deadline(body: Mapping[str, Any]) -> float | None:
+    """The body's ``deadline_seconds`` budget, or ``None`` when absent.
+
+    Only a finite JSON number > 0 is a deadline; anything else (strings,
+    lists, booleans, NaN, zero, negatives) is a 400, not a 500 or a 504.
+    """
+    deadline = body.get("deadline_seconds")
+    if deadline is None:
+        return None
+    seconds = math.nan
+    if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+        try:
+            seconds = float(deadline)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ServeError(
+            400,
+            "invalid_request",
+            f"deadline_seconds must be a finite number > 0, got {deadline!r:.40}",
+        )
+    return seconds
 
 
 def design_params(body: Mapping[str, Any]) -> dict[str, Any]:

@@ -11,6 +11,7 @@ request attaches to and completes without recomputing finished points).
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ async def _request(port, method, path, body=None):
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     return status, headers, json.loads(rest) if rest else None
+
+
+def _hold_computes(server):
+    """Hold every batch compute in flight until the returned event is set."""
+    gate = threading.Event()
+    submit = server.batcher.submit
+
+    def gated_submit(key, omega, compute, trace=None):
+        def blocked(merged):
+            assert gate.wait(timeout=10), "gate never opened"
+            return compute(merged)
+
+        return submit(key, omega, blocked, trace=trace)
+
+    server.batcher.submit = gated_submit
+    return gate
+
+
+async def _wait_for(condition, timeout=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("condition never held")
+        await asyncio.sleep(0.005)
 
 
 def _run(config, scenario):
@@ -185,8 +210,45 @@ class TestErrorPaths:
                 {"design": DESIGN, "deadline_seconds": 1e-4},
             )
 
-        st, _, body = _run(ServerConfig(port=0, batch_window=0.05), scenario)
+        st, _, body = _run(ServerConfig(port=0), scenario)
         assert st == 504 and body["error"]["code"] == "deadline_exceeded"
+
+    def test_timed_out_result_still_lands_in_the_cache(self):
+        """A 504 abandons the wait, not the work: the identical retry is a
+        cache hit and costs no further underlying call."""
+        body = {"design": DESIGN, "deadline_seconds": 1e-4}
+
+        async def scenario(port, server):
+            gate = _hold_computes(server)
+            try:
+                st, _, first = await _request(port, "POST", "/v1/margins", body)
+            finally:
+                gate.set()
+            await _wait_for(lambda: server.cache.stats()["entries"] == 1)
+            calls = server.batcher.stats.underlying_calls
+            st2, _, retry = await _request(port, "POST", "/v1/margins", body)
+            return st, first, st2, retry, calls, server.batcher.stats
+
+        st, first, st2, retry, calls, stats = _run(ServerConfig(port=0), scenario)
+        assert st == 504 and first["error"]["code"] == "deadline_exceeded"
+        assert st2 == 200 and retry["cached"] is True
+        assert stats.underlying_calls == calls == 1
+
+    @pytest.mark.parametrize("deadline", ["abc", [1], float("nan"), -1, 0])
+    def test_malformed_deadline_is_400(self, deadline):
+        async def scenario(port, server):
+            st, _, body = await _request(
+                port,
+                "POST",
+                "/v1/margins",
+                {"design": DESIGN, "deadline_seconds": deadline},
+            )
+            return st, body, server.stats.failures
+
+        st, body, failures = _run(ServerConfig(port=0), scenario)
+        assert st == 400 and body["error"]["code"] == "invalid_request"
+        assert "deadline_seconds" in body["error"]["message"]
+        assert failures == 0
 
     def test_jobs_disabled_is_503(self):
         async def scenario(port, server):
@@ -206,19 +268,23 @@ class TestErrorPaths:
 class TestBackpressure:
     def test_overload_answers_429_with_retry_after(self):
         async def scenario(port, server):
-            slow = _request(
-                port, "POST", "/v1/margins", {"design": dict(DESIGN, points=500)}
-            )
-            slow_task = asyncio.ensure_future(slow)
-            await asyncio.sleep(0.05)  # ensure it is in flight
-            st, headers, body = await _request(
-                port, "POST", "/v1/margins", {"design": {"ratio": 0.08}}
-            )
+            gate = _hold_computes(server)
+            try:
+                slow = _request(
+                    port, "POST", "/v1/margins", {"design": dict(DESIGN, points=500)}
+                )
+                slow_task = asyncio.ensure_future(slow)
+                await _wait_for(lambda: server._inflight == 1)  # in flight
+                st, headers, body = await _request(
+                    port, "POST", "/v1/margins", {"design": {"ratio": 0.08}}
+                )
+            finally:
+                gate.set()
             slow_st, _, _ = await slow_task
             return st, headers, body, slow_st, server.stats.rejected
 
         st, headers, body, slow_st, rejected = _run(
-            ServerConfig(port=0, max_inflight=1, batch_window=0.3), scenario
+            ServerConfig(port=0, max_inflight=1), scenario
         )
         assert slow_st == 200
         assert st == 429 and body["error"]["code"] == "overloaded"
@@ -265,16 +331,13 @@ class TestCoalescing:
             )
             return bodies, server.batcher.stats
 
-        serial_bodies = _run(ServerConfig(port=0, batch_window=0.0), serial)
+        serial_bodies = _run(ServerConfig(port=0), serial)
 
         obs.reset()
         was_enabled = obs.enabled()
         obs.enable()
         try:
-            bodies, stats = _run(
-                ServerConfig(port=0, batch_window=0.1, max_inflight=128),
-                concurrent,
-            )
+            bodies, stats = _run(ServerConfig(port=0, max_inflight=128), concurrent)
             counters = obs.snapshot()["counters"]
         finally:
             obs.reset()
